@@ -26,7 +26,7 @@
 // per-pass events; see internal/obs for the schema) without changing the
 // result. -report aggregates the trace into the run report
 // (internal/obs/report: phase wall-time tree, convergence curve,
-// move/round/flow rates) and prints it to stderr after the run; without
+// move/flow rates) and prints it to stderr after the run; without
 // -trace it traces into memory at -trace-level granularity.
 package main
 
@@ -59,7 +59,6 @@ func main() {
 		r2       = flag.Float64("r2", 0.5, "upper balance bound")
 		runs     = flag.Int("runs", 20, "multi-start runs for iterative algorithms")
 		par      = flag.Int("par", runtime.GOMAXPROCS(0), "worker goroutines for multi-start runs (1 = sequential)")
-		moveWork = flag.Int("move-workers", 0, "parallel round-loop scan workers per run (0 = serial move loop)")
 		k        = flag.Int("k", 2, "number of parts (power of two; 2 = bisection)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		out      = flag.String("out", "", "output assignment file (default stdout)")
@@ -92,7 +91,7 @@ func main() {
 		Algorithm: prop.Algorithm(*algo),
 		R1:        *r1, R2: *r2,
 		Runs: *runs, Seed: *seed, LADepth: *laK,
-		Parallel: *par, MoveWorkers: *moveWork,
+		Parallel: *par,
 	}
 	if *mlMode != "" || *mlBatch != 0 {
 		opts.ML = &prop.MLParams{Mode: *mlMode, UncontractBatch: *mlBatch}

@@ -337,3 +337,27 @@ func TestProcessDrainUnderLoad(t *testing.T) {
 		t.Fatalf("job after drain+restart = state %q, %d result bytes", v.State, len(v.Result))
 	}
 }
+
+// TestSIGTERMRightAfterAnnounceDrains sends SIGTERM the moment the
+// "listening on" line is read. The signal handler must already be in
+// place by then, so every attempt exits 0 through the drain path rather
+// than dying on the default SIGTERM action. The window is microseconds
+// wide, so the attempt is repeated.
+func TestSIGTERMRightAfterAnnounceDrains(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the server binary")
+	}
+	bin := buildPropserve(t)
+	for i := 0; i < 40; i++ {
+		p := startPropserve(t, bin)
+		if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.wait(); err != nil {
+			t.Fatalf("attempt %d: exit %v; logs:\n%s", i, err, p.logs)
+		}
+		if !strings.Contains(p.logs.String(), "drained cleanly") {
+			t.Fatalf("attempt %d: missing 'drained cleanly'; logs:\n%s", i, p.logs)
+		}
+	}
+}

@@ -169,6 +169,12 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
+	// Catch signals before announcing: a supervisor may send SIGTERM as
+	// soon as it reads the line below, and an uncaught SIGTERM kills the
+	// process without a drain.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+
 	// Listen before announcing so ":0" callers can read the real port
 	// from the line below.
 	ln, err := net.Listen("tcp", *addr)
@@ -181,8 +187,6 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {

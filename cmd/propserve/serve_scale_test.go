@@ -9,10 +9,12 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -422,6 +424,63 @@ func TestJournalPersistsAcrossRestart(t *testing.T) {
 		msg, _ := io.ReadAll(rr.Body)
 		t.Fatalf("repartition from restarted base: status %d: %s", rr.StatusCode, msg)
 	}
+}
+
+// TestJournalReplayIgnoresRemovedQueryKnob boots on a hand-written
+// journal holding one pending job whose stored query still carries a
+// query parameter the server no longer reads (a move-loop worker count
+// from before the loop was made strictly serial). Replay must run the job
+// to done on the serial loop, and a live request with the same query must
+// ignore the parameter the same way.
+func TestJournalReplayIgnoresRemovedQueryKnob(t *testing.T) {
+	const legacyQuery = "algo=prop&runs=2&seed=3&move_workers=4"
+	hgr := testNetlistHGR(t)
+	payload := fmt.Sprintf(`{"kind":"partition","query":%q,"content_type":"text/plain","body":%q}`,
+		legacyQuery, base64.StdEncoding.EncodeToString([]byte(hgr)))
+	record := fmt.Sprintf(`{"job":{"id":"j7","tenant":"acme","state":"pending","payload":%q,"created":"2026-10-16T09:00:00Z"}}`+"\n",
+		base64.StdEncoding.EncodeToString([]byte(payload)))
+	dir := filepath.Join(t.TempDir(), "journal")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal-00000001.ndjson"), []byte(record), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	n, err := prop.ReadHGR(strings.NewReader(hgr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := prop.Partition(n, prop.Options{Algorithm: prop.AlgoPROP, Runs: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, pr *partitionResponse) {
+		t.Helper()
+		if pr == nil || pr.CutCost != want.CutCost || len(pr.Sides) != len(want.Sides) {
+			t.Fatalf("%s result = %+v, want cut %g", what, pr, want.CutCost)
+		}
+		for i, s := range want.Sides {
+			if pr.Sides[i] != int(s) {
+				t.Fatalf("%s: side[%d] = %d, want %d", what, i, pr.Sides[i], s)
+			}
+		}
+	}
+
+	ts, _ := newTestServerConfig(t, serverConfig{journalDir: dir})
+	j := waitJobDone(t, ts.URL, "j7")
+	if j.State != jobs.Done || j.Requeued != 1 || j.Tenant != "acme" {
+		t.Fatalf("replayed job = state %q, requeued %d, tenant %q, error %q",
+			j.State, j.Requeued, j.Tenant, j.Error)
+	}
+	check("replayed job", jobResult(t, j))
+
+	resp := postHGR(t, ts.URL+"/v1/partition?"+legacyQuery, hgr)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("live request status %d", resp.StatusCode)
+	}
+	pr := decodeBody[partitionResponse](t, resp)
+	check("live request", &pr)
 }
 
 // TestBatchRepartitionItems runs a mixed batch: a partition item and a

@@ -883,77 +883,6 @@ func TestTimeoutReturns504(t *testing.T) {
 	}
 }
 
-// TestPartitionMoveWorkers covers the ?move_workers= plumbing: the sync
-// endpoint must reproduce the library result bit-identically at any worker
-// count (the parallel loop's invariance contract), non-positive or
-// malformed values are 400s, and an async job reports its effective value.
-func TestPartitionMoveWorkers(t *testing.T) {
-	ts := newTestServer(t)
-	hgr := testNetlistHGR(t)
-
-	n, err := prop.Generate(prop.GenParams{Nodes: 120, Nets: 140, Pins: 480, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := prop.Partition(n, prop.Options{Algorithm: prop.AlgoPROP, Runs: 2, Seed: 3, MoveWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 4} {
-		resp := postHGR(t, fmt.Sprintf("%s/v1/partition?algo=prop&runs=2&seed=3&move_workers=%d", ts.URL, w), hgr)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("move_workers=%d: status %d", w, resp.StatusCode)
-		}
-		pr := decodeBody[partitionResponse](t, resp)
-		if pr.CutCost != want.CutCost {
-			t.Errorf("move_workers=%d: cut %g, want %g", w, pr.CutCost, want.CutCost)
-		}
-		for i, s := range want.Sides {
-			if pr.Sides[i] != int(s) {
-				t.Fatalf("move_workers=%d: side[%d] = %d, want %d", w, i, pr.Sides[i], s)
-			}
-		}
-	}
-
-	for _, bad := range []string{"0", "-2", "abc"} {
-		resp := postHGR(t, ts.URL+"/v1/partition?move_workers="+bad, hgr)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("move_workers=%s: status %d, want 400", bad, resp.StatusCode)
-		}
-	}
-
-	resp := postHGR(t, ts.URL+"/v1/jobs?algo=prop&runs=2&seed=3&move_workers=4", hgr)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status %d", resp.StatusCode)
-	}
-	id := decodeBody[map[string]string](t, resp)["id"]
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("job did not finish")
-		}
-		r, err := http.Get(ts.URL + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j := decodeBody[jobView](t, r)
-		if j.MoveWorkers != 4 {
-			t.Fatalf("job move_workers = %d, want 4", j.MoveWorkers)
-		}
-		if j.State == jobs.Done || j.State == jobs.Failed {
-			if j.State != jobs.Done {
-				t.Fatalf("job state %q, error %q", j.State, j.Error)
-			}
-			if res := jobResult(t, j); res == nil || res.CutCost != want.CutCost {
-				t.Fatalf("job result = %+v, want cut %g", res, want.CutCost)
-			}
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestJobProgressAdvances polls a long-running job and requires the live
 // progress snapshot in GET /v1/jobs/{id} to move (phase, run, pass, or
 // best cut) before the job completes, and /debug/runs to list the job
@@ -1134,7 +1063,7 @@ func (w *syncWriter) String() string {
 }
 
 // TestJobCompletionLogAndSlowRun pins the enriched completion log line
-// (algo, move_workers, passes) and the -slow-run warning.
+// (algo, passes) and the -slow-run warning.
 func TestJobCompletionLogAndSlowRun(t *testing.T) {
 	var lw syncWriter
 	logger := slog.New(slog.NewTextHandler(&lw, nil))
@@ -1146,7 +1075,7 @@ func TestJobCompletionLogAndSlowRun(t *testing.T) {
 	t.Cleanup(func() { s.close(); ts.Close() })
 
 	hgr := testNetlistHGR(t)
-	resp := postHGR(t, ts.URL+"/v1/jobs?algo=prop&runs=2&seed=3&move_workers=2", hgr)
+	resp := postHGR(t, ts.URL+"/v1/jobs?algo=prop&runs=2&seed=3", hgr)
 	id := decodeBody[map[string]string](t, resp)["id"]
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -1171,7 +1100,7 @@ func TestJobCompletionLogAndSlowRun(t *testing.T) {
 	}
 	logs := lw.String()
 	for _, want := range []string{
-		"algo=prop", "move_workers=2", "passes=",
+		"algo=prop", "passes=",
 		"msg=\"slow run\"", "threshold_ms=",
 	} {
 		if !strings.Contains(logs, want) {

@@ -1,6 +1,6 @@
 // Command tracestat summarizes a propart/propserve JSONL trace file into
 // the run report (internal/obs/report): per-phase wall-time tree, top-N
-// phases, pass convergence curve, and move/round/flow rates.
+// phases, pass convergence curve, and move and flow rates.
 //
 //	tracestat [-top N] [-json] trace.jsonl
 //	tracestat -diff old.jsonl new.jsonl [-wall-pct 25] [-min-wall-ms 5] [-cut-pct 0.5]

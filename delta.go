@@ -61,11 +61,9 @@ func (n *Netlist) Fingerprint() uint64 { return n.h.Fingerprint() }
 
 // Fingerprint returns a 64-bit content hash of every option that affects
 // partitioning results: algorithm, balance, runs, seed, lookahead depth,
-// clustered/warm start, PROP/Flow/ML parameter overrides and the move-loop
-// selection (serial vs parallel round loop; the worker count itself is
-// excluded, as every positive count is bit-identical). Parallel, OnRun,
-// Tracer and TraceID are excluded — results are bit-identical across
-// their values by construction.
+// clustered/warm start and PROP/Flow/ML parameter overrides. Parallel,
+// OnRun, Tracer and TraceID are excluded — results are bit-identical
+// across their values by construction.
 func (o Options) Fingerprint() uint64 {
 	f := fnv.New64a()
 	var b [8]byte
@@ -104,14 +102,6 @@ func (o Options) Fingerprint() uint64 {
 		put(uint64(p.Radius))
 		put(math.Float64bits(p.MaxFrac))
 		put(uint64(p.Rounds))
-	}
-	// The parallel move loop is bit-identical at every positive worker
-	// count but follows a different trajectory than the serial loop, so
-	// only the on/off bit participates — all positive MoveWorkers values
-	// intentionally collide. Appended last so pre-existing fingerprints
-	// (MoveWorkers == 0) are unchanged.
-	if o.MoveWorkers > 0 {
-		put(2)
 	}
 	// ML hierarchy knobs change the result, so they participate; appended
 	// last so pre-existing fingerprints (ML == nil) are unchanged.
@@ -180,7 +170,7 @@ func RepartitionCtx(ctx context.Context, base *Netlist, prevSides []uint8, d *De
 		p, err := warm.PolishWith(edited.h, res.Sides, res.CutCost, res.CutNets,
 			propConfig(bal, o, res.Runs),
 			refine.Options{Algorithm: partner, Balance: bal, LADepth: o.LADepth,
-				MoveWorkers: o.MoveWorkers, Flow: flowParams(o),
+				Flow:   flowParams(o),
 				Tracer: o.Tracer, TraceRun: res.Runs})
 		if err != nil {
 			return nil, Result{}, err

@@ -51,18 +51,7 @@ type HotpathCircuit struct {
 	// paths, summed over the traced series) aggregated from the traced
 	// runs' phase spans by internal/obs/report.
 	PhaseWallUS map[string]int64 `json:"phase_wall_us,omitempty"`
-	// PROPParLoop times PROP on the synchronous-round parallel move loop
-	// at parLoopWorkers workers, and ParLoopSpeedupX is the serial loop's
-	// mean wall clock over the parallel loop's — the one-run scaling the
-	// round protocol buys. Note the two loops follow different (each
-	// deterministic) trajectories, so their cuts may differ.
-	PROPParLoop     *HotpathSeries `json:"prop_par_loop,omitempty"`
-	ParLoopSpeedupX float64        `json:"par_loop_speedup_x"`
 }
-
-// parLoopWorkers is the worker count of the parallel-loop series — the
-// ISSUE-7 acceptance point (≥2× on industry2 at 4 workers, multicore).
-const parLoopWorkers = 4
 
 // HotpathReport is the full study.
 type HotpathReport struct {
@@ -162,26 +151,12 @@ func RunHotpath(names []string, runs int, seed int64, traceSink, progress io.Wri
 			runStart := time.Now()
 			sp := tracer.StartPhase(r, "prop")
 			res, err := core.Partition(b, cfg)
-			sp.EndBusy(res.RefineBusy)
+			sp.End()
 			end := obs.RunEnd{ID: name, Run: r, Dur: time.Since(runStart)}
 			if err != nil {
 				end.Err = err.Error()
 			}
 			tracer.EmitRunEnd(end)
-			if err != nil {
-				return 0, err
-			}
-			return res.CutCost, nil
-		}
-		parRun := func(seed int64, _ int) (float64, error) {
-			b, err := randomStart(h, bal, seed)
-			if err != nil {
-				return 0, err
-			}
-			cfg := core.DefaultConfig(bal)
-			cfg.MoveWorkers = parLoopWorkers
-			cfg.Workers = parLoopWorkers
-			res, err := core.Partition(b, cfg)
 			if err != nil {
 				return 0, err
 			}
@@ -218,23 +193,14 @@ func RunHotpath(names []string, runs int, seed int64, traceSink, progress io.Wri
 			return rep, fmt.Errorf("bench: hotpath %s: traced best cut %g != untraced %g (tracing must be observation-only)",
 				name, tracedSeries.BestCut, rec.PROP.BestCut)
 		}
-		parSeries, err := timeSeries(parRun, runs, seed)
-		if err != nil {
-			return rep, fmt.Errorf("bench: hotpath %s PROP par-loop: %w", name, err)
-		}
-		rec.PROPParLoop = &parSeries
-		if parSeries.MeanMillis > 0 {
-			rec.ParLoopSpeedupX = rec.PROP.MeanMillis / parSeries.MeanMillis
-		}
 		fmSeries, err := timeSeries(fmRun, runs, seed)
 		if err != nil {
 			return rep, fmt.Errorf("bench: hotpath %s FM: %w", name, err)
 		}
 		rec.FM = &fmSeries
 		if progress != nil {
-			fmt.Fprintf(progress, "hotpath %-10s PROP cut %g mean %.1fms (traced %+.1f%%) | par-loop cut %g mean %.1fms (%.2fx) | FM cut %g mean %.1fms\n",
+			fmt.Fprintf(progress, "hotpath %-10s PROP cut %g mean %.1fms (traced %+.1f%%) | FM cut %g mean %.1fms\n",
 				name, rec.PROP.BestCut, rec.PROP.MeanMillis, rec.TraceOverheadPct,
-				parSeries.BestCut, parSeries.MeanMillis, rec.ParLoopSpeedupX,
 				rec.FM.BestCut, rec.FM.MeanMillis)
 		}
 		rep.Circuits = append(rep.Circuits, rec)

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"prop/internal/ds"
-	"prop/internal/engine"
 	"prop/internal/moves"
 	"prop/internal/obs"
 	"prop/internal/partition"
@@ -22,12 +19,6 @@ type Result struct {
 	// PassCuts records the cut cost after each pass — the convergence
 	// trajectory (the paper reports convergence in 2–4 passes).
 	PassCuts []float64
-	// RefineBusy and RefineWall time the refinement gain sweeps across all
-	// passes: summed per-worker busy time and wall clock. Their ratio over
-	// RefineWorkers is the sweep worker utilization.
-	RefineBusy    time.Duration
-	RefineWall    time.Duration
-	RefineWorkers int
 }
 
 // Partition runs PROP (Fig. 2 of the paper) on the bisection in place:
@@ -39,29 +30,19 @@ func Partition(b *partition.Bisection, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	e := newPassEngine(b, cfg)
-	runner := moves.PassRunner(e.loop())
-	if cfg.MoveWorkers > 0 {
-		runner = e.parLoop()
-	}
 	var passCuts []float64
-	var refineBusy, refineWall time.Duration
-	out := moves.Run(runner, cfg.MaxPasses, cfg.Tracer, cfg.TraceRun,
+	out := moves.Run(e.loop(), cfg.MaxPasses, cfg.Tracer, cfg.TraceRun,
 		func(gmax float64, m, kept int) {
 			e.ps.moves, e.ps.kept = m, kept
 			passCuts = append(passCuts, b.CutCost())
-			refineBusy += time.Duration(e.ps.sweepBusyNS.Load())
-			refineWall += time.Duration(e.ps.sweepWallNS)
 		})
 	return Result{
-		Sides:         b.Sides(),
-		CutCost:       b.CutCost(),
-		CutNets:       b.CutNets(),
-		Passes:        out.Passes,
-		Moves:         out.Moves,
-		PassCuts:      passCuts,
-		RefineBusy:    refineBusy,
-		RefineWall:    refineWall,
-		RefineWorkers: e.workers,
+		Sides:    b.Sides(),
+		CutCost:  b.CutCost(),
+		CutNets:  b.CutNets(),
+		Passes:   out.Passes,
+		Moves:    out.Moves,
+		PassCuts: passCuts,
 	}, nil
 }
 
@@ -71,21 +52,15 @@ func Partition(b *partition.Bisection, cfg Config) (Result, error) {
 // tracing is on, because counting it adds a read to the dirty-node
 // marking loop.
 type passStats struct {
-	dirtyNets   int   // dirty-net rebuilds summed over refine iterations
-	swept       int   // gain recomputations across refine sweeps
-	refineIters int   // refine iterations executed
-	sweepWallNS int64 // wall clock of the refinement sweeps
-	sweepBusyNS atomic.Int64
-	moves       int // virtual moves made
-	kept        int // moves kept after maximum-prefix rollback
+	dirtyNets   int           // dirty-net rebuilds summed over refine iterations
+	swept       int           // gain recomputations across refine sweeps
+	refineIters int           // refine iterations executed
+	sweepWall   time.Duration // wall clock of the refinement sweeps
+	moves       int           // virtual moves made
+	kept        int           // moves kept after maximum-prefix rollback
 }
 
-func (s *passStats) reset() {
-	s.dirtyNets, s.swept, s.refineIters = 0, 0, 0
-	s.sweepWallNS = 0
-	s.sweepBusyNS.Store(0)
-	s.moves, s.kept = 0, 0
-}
+func (s *passStats) reset() { *s = passStats{} }
 
 type passEngine struct {
 	b          *partition.Bisection
@@ -97,17 +72,6 @@ type passEngine struct {
 	topBuf     []int
 	heaps      [2]*ds.GainHeap
 	l          *moves.Loop
-	pl         *moves.ParallelLoop
-
-	// roundMode is set when the engine drives the synchronous-round
-	// parallel loop: per-move neighbor maintenance (§3.4) is deferred to
-	// EndRound batches and the selection heaps are never built (rounds
-	// scan the frontier by Key instead).
-	roundMode bool
-
-	// workers is the resolved refinement-sweep worker count (engine
-	// semantics: Config.Workers ≤ 0 selects GOMAXPROCS).
-	workers int
 
 	// ps carries the current pass's observability counters; traced
 	// latches the tracer level so hot loops test one bool.
@@ -134,7 +98,6 @@ func newPassEngine(b *partition.Bisection, cfg Config) *passEngine {
 		calc:       NewCalculator(b),
 		gain:       make([]float64, n),
 		nbrScratch: make([]bool, n),
-		workers:    engine.WorkerCount(cfg.Workers),
 		dirtyNet:   make([]bool, b.H.NumNets()),
 		dirtyNode:  make([]bool, n),
 		traced:     cfg.Tracer.PassEnabled(),
@@ -151,20 +114,6 @@ func (e *passEngine) loop() *moves.Loop {
 		}
 	}
 	return e.l
-}
-
-// parLoop lazily binds the engine to the synchronous-round parallel loop
-// and switches it into round mode (Config.MoveWorkers > 0).
-func (e *passEngine) parLoop() *moves.ParallelLoop {
-	if e.pl == nil {
-		e.roundMode = true
-		e.pl = &moves.ParallelLoop{
-			B: e.b, Bal: e.cfg.Balance, Pol: e,
-			Workers: e.cfg.MoveWorkers,
-			Tracer:  e.cfg.Tracer, TraceRun: e.cfg.TraceRun,
-		}
-	}
-	return e.pl
 }
 
 // emitPass sends a pass trace event through the same decoration path the
@@ -199,9 +148,7 @@ func (e *passEngine) FillPass(ev *obs.Pass) {
 	ev.DirtyNets = e.ps.dirtyNets
 	ev.SweptNodes = e.ps.swept
 	ev.RefineIters = e.ps.refineIters
-	ev.Workers = e.workers
-	ev.SweepBusy = time.Duration(e.ps.sweepBusyNS.Load())
-	ev.SweepWall = time.Duration(e.ps.sweepWallNS)
+	ev.SweepWall = e.ps.sweepWall
 }
 
 // seedProbabilities implements step 3 of Fig. 2.
@@ -220,77 +167,25 @@ func (e *passEngine) seedProbabilities() {
 	e.calc.Rebuild()
 }
 
-// sweepShard is the fixed node-range shard size of the parallel gain
-// sweep. Shards are fixed node ranges and every gain[u] = calc.Gain(u) is
-// a pure read of the shared calculator state, so the sweep result is
-// bit-identical for every worker count and every shard→worker assignment.
-const sweepShard = 256
-
-// parallelSweepMin is the minimum node count for which spawning sweep
-// goroutines can pay for itself.
-const parallelSweepMin = 2 * sweepShard
-
 // sweepGains recomputes e.gain[u] = calc.Gain(u) for every node (only ==
-// nil) or for the marked subset, sharded across the worker pool. Sweep
-// wall clock and summed per-worker busy time are recorded in e.ps — a few
-// time.Now calls per pass, feeding the refine-worker utilization metric
-// whether or not tracing is on.
+// nil) or for the marked subset, and adds the sweep's wall clock to e.ps.
 func (e *passEngine) sweepGains(only []bool) {
 	n := e.b.H.NumNodes()
-	if only == nil {
-		e.ps.swept += n
-	}
 	start := time.Now()
-	if e.workers > 1 && n >= parallelSweepMin {
-		shards := (n + sweepShard - 1) / sweepShard
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		workers := e.workers
-		if workers > shards {
-			workers = shards
-		}
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				wstart := time.Now()
-				for {
-					s := int(next.Add(1)) - 1
-					if s >= shards {
-						e.ps.sweepBusyNS.Add(time.Since(wstart).Nanoseconds())
-						return
-					}
-					hi := (s + 1) * sweepShard
-					if hi > n {
-						hi = n
-					}
-					e.sweepRange(s*sweepShard, hi, only)
-				}
-			}()
-		}
-		wg.Wait()
-		e.ps.sweepWallNS += time.Since(start).Nanoseconds()
-		return
-	}
-	e.sweepRange(0, n, only)
-	el := time.Since(start).Nanoseconds()
-	e.ps.sweepWallNS += el
-	e.ps.sweepBusyNS.Add(el)
-}
-
-func (e *passEngine) sweepRange(lo, hi int, only []bool) {
 	calc := e.calc
 	if only == nil {
-		for u := lo; u < hi; u++ {
+		e.ps.swept += n
+		for u := 0; u < n; u++ {
 			e.gain[u] = calc.Gain(u)
 		}
-		return
-	}
-	for u := lo; u < hi; u++ {
-		if only[u] {
-			e.gain[u] = calc.Gain(u)
+	} else {
+		for u := 0; u < n; u++ {
+			if only[u] {
+				e.gain[u] = calc.Gain(u)
+			}
 		}
 	}
+	e.ps.sweepWall += time.Since(start)
 }
 
 // refine implements step 4 of Fig. 2: alternate full gain computation
@@ -409,11 +304,6 @@ func (e *passEngine) BeginPass() [2]moves.Container {
 	e.seedProbabilities()
 	e.refine()
 
-	if e.roundMode {
-		// The round loop selects by scanning the frontier with Key; the
-		// heaps (and the TopK refresh they serve) are never consulted.
-		return [2]moves.Container{}
-	}
 	e.heaps = [2]*ds.GainHeap{ds.NewGainHeap(n), ds.NewGainHeap(n)}
 	for u := 0; u < n; u++ {
 		e.heaps[e.b.Side(u)].Insert(u, e.gain[u])
@@ -425,9 +315,7 @@ func (e *passEngine) BeginPass() [2]moves.Container {
 // move, lock u, then propagate the probability updates of §3.4.
 func (e *passEngine) MoveLock(u int) float64 {
 	imm := e.calc.MoveLock(u)
-	if !e.roundMode {
-		e.updateAfterMove(u)
-	}
+	e.updateAfterMove(u)
 	return imm
 }
 
@@ -488,50 +376,4 @@ func (e *passEngine) refreshNode(v int) {
 	e.gain[v] = g
 	e.calc.SetP(v, e.cfg.Probability(g))
 	e.heaps[e.b.Side(v)].Insert(v, g) // reinsert: in-place keyed update
-}
-
-// EndRound implements moves.RoundPolicy: the §3.4 neighbor maintenance of
-// updateAfterMove, batched over one round's movers. The parallel loop's
-// conflict rule makes movers within a round net-disjoint, so each mover's
-// nets carry exactly one move — evaluating the per-net relevance filter
-// here sees the same products and pin counts a per-move update would
-// have. The collected neighbor set is swept with the (parallel,
-// deterministic) gain sweep, then probabilities are written in collection
-// order; no TopK refresh, because round selection rescans the frontier
-// with fresh keys anyway.
-func (e *passEngine) EndRound(moved []int) {
-	const eps = 1e-7
-	h := e.b.H
-	e.nbrBuf = e.nbrBuf[:0]
-	for _, u := range moved {
-		t := e.b.Side(u) // u already moved: t is its new side
-		s := 1 - t
-		u32 := int32(u)
-		for _, nt32 := range h.NetsOf(u) {
-			nt := int(nt32)
-			relevant := e.b.PinCount(t, nt) == 1 ||
-				e.b.PinCount(s, nt) == 0 ||
-				e.calc.Prod(s, nt) > eps ||
-				(e.calc.LockedPins(t, nt) == 1 && e.calc.Prod(t, nt) > eps)
-			if !relevant {
-				continue
-			}
-			for _, v := range h.Net(nt) {
-				if v != u32 && !e.calc.Locked[v] && !e.nbrScratch[v] {
-					e.nbrScratch[v] = true
-					e.nbrBuf = append(e.nbrBuf, v)
-					e.dirtyNode[v] = true
-				}
-			}
-		}
-	}
-	if len(e.nbrBuf) == 0 {
-		return
-	}
-	e.sweepGains(e.dirtyNode)
-	for _, v := range e.nbrBuf {
-		e.nbrScratch[v] = false
-		e.dirtyNode[v] = false
-		e.calc.SetP(int(v), e.cfg.Probability(e.gain[v]))
-	}
 }

@@ -69,10 +69,8 @@ func tracedRun[T any](ctx context.Context, cfg *Config[T], fn RunFunc[T], r int)
 	return v, err
 }
 
-// WorkerCount resolves a Workers setting: values < 1 select GOMAXPROCS.
-// Exported so other packages (e.g. core's refinement sweep) share the same
-// resolution rule as Portfolio.
-func WorkerCount(w int) int {
+// workerCount resolves a Workers setting: values < 1 select GOMAXPROCS.
+func workerCount(w int) int {
 	if w < 1 {
 		w = runtime.GOMAXPROCS(0)
 	}
@@ -81,8 +79,6 @@ func WorkerCount(w int) int {
 	}
 	return w
 }
-
-func workerCount(w int) int { return WorkerCount(w) }
 
 // Portfolio executes fn for run indices [0, runs) across the worker pool
 // and returns the best result per cfg.Less with sequential tie-breaking.

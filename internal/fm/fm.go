@@ -52,13 +52,6 @@ type Config struct {
 	// a pass yields no positive gain (the paper reports 2–4 in practice).
 	MaxPasses int
 
-	// MoveWorkers selects the pass-loop implementation: 0 (default) runs
-	// the serial locked-move loop; any positive value runs the
-	// synchronous-round parallel loop with that many proposal-scan
-	// workers. Every positive value is bit-identical; the round
-	// trajectory legitimately differs from the serial one.
-	MoveWorkers int
-
 	// Tracer, when non-nil, receives one event per pass (cut, G_max,
 	// moves). Observation-only; a nil Tracer costs one branch per pass.
 	Tracer *obs.Tracer
@@ -92,18 +85,7 @@ func Partition(b *partition.Bisection, cfg Config) (Result, error) {
 		gain:   make([]float64, n),
 		locked: make([]bool, n),
 	}
-	runner := moves.PassRunner(eng.loop())
-	if cfg.MoveWorkers > 0 {
-		// Round mode: the containers BeginPass fills stay consistent (bump
-		// only updates unlocked nodes, which rounds never remove) but are
-		// not consulted — selection scans the frontier by Key.
-		runner = &moves.ParallelLoop{
-			B: b, Bal: cfg.Balance, Pol: eng,
-			Workers: cfg.MoveWorkers,
-			Tracer:  cfg.Tracer, TraceRun: cfg.TraceRun,
-		}
-	}
-	out := moves.Run(runner, cfg.MaxPasses, cfg.Tracer, cfg.TraceRun, nil)
+	out := moves.Run(eng.loop(), cfg.MaxPasses, cfg.Tracer, cfg.TraceRun, nil)
 	return Result{
 		Sides:   b.Sides(),
 		CutCost: b.CutCost(),

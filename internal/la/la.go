@@ -29,13 +29,6 @@ type Config struct {
 	Balance   partition.Balance
 	MaxPasses int // 0 = run until no improving pass
 
-	// MoveWorkers selects the pass-loop implementation: 0 (default) runs
-	// the serial locked-move loop; any positive value runs the
-	// synchronous-round parallel loop with that many proposal-scan
-	// workers. Every positive value is bit-identical; the round
-	// trajectory legitimately differs from the serial one.
-	MoveWorkers int
-
 	// Tracer, when non-nil, receives one event per pass. Observation-only.
 	Tracer *obs.Tracer
 	// TraceRun labels emitted events with this multi-start run index.
@@ -60,17 +53,7 @@ func Partition(b *partition.Bisection, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	e := newEngine(b, cfg)
-	runner := moves.PassRunner(e.loop())
-	if cfg.MoveWorkers > 0 {
-		// Round mode: MoveLock's vector maintenance only touches unlocked
-		// nodes, which rounds keep present in the (unconsulted) trees.
-		runner = &moves.ParallelLoop{
-			B: b, Bal: cfg.Balance, Pol: e,
-			Workers: cfg.MoveWorkers,
-			Tracer:  cfg.Tracer, TraceRun: cfg.TraceRun,
-		}
-	}
-	out := moves.Run(runner, cfg.MaxPasses, cfg.Tracer, cfg.TraceRun, nil)
+	out := moves.Run(e.loop(), cfg.MaxPasses, cfg.Tracer, cfg.TraceRun, nil)
 	return Result{
 		Sides:   b.Sides(),
 		CutCost: b.CutCost(),

@@ -31,8 +31,8 @@ func AlgoRefiner(algo string, laDepth int) Refiner {
 
 // AlgoRefinerOpts refines with any locked-move engine configured by a full
 // refine.Options template; the per-level balance overwrites o.Balance.
-// This is how non-default knobs (MoveWorkers, MaxPasses, an explicit PROP
-// config) reach every level of the V-cycle.
+// This is how non-default knobs (MaxPasses, an explicit PROP config)
+// reach every level of the V-cycle.
 func AlgoRefinerOpts(o refine.Options) Refiner {
 	return func(h *hypergraph.Hypergraph, sides []uint8, bal partition.Balance) ([]uint8, float64, error) {
 		o := o
@@ -118,14 +118,9 @@ type Config struct {
 	// pass at depth 0 (0 → 20000, negative → never). Million-node runs skip
 	// it — the localized batches have already refined every boundary.
 	PolishMaxNodes int
-	// Refine is the per-level engine (nil → PROPRefiner, or a
-	// MoveWorkers-configured PROP refiner when MoveWorkers > 0).
+	// Refine is the per-level engine (nil → PROPRefiner).
 	Refine Refiner
-	// MoveWorkers, when positive and Refine is nil, runs the default PROP
-	// refiner on the synchronous-round parallel move loop with that many
-	// proposal-scan workers (bit-identical at any positive value).
-	MoveWorkers int
-	Seed        int64
+	Seed   int64
 
 	// Tracer, when non-nil, receives phase spans for the V-cycle stages:
 	// "multilevel" wrapping the whole cycle, one "coarsen" span per
@@ -170,8 +165,7 @@ func Partition(h *hypergraph.Hypergraph, cfg Config) (Result, error) {
 	}
 	if cfg.Refine == nil {
 		cfg.Refine = AlgoRefinerOpts(refine.Options{
-			Algorithm: "prop", MoveWorkers: cfg.MoveWorkers,
-			Tracer: cfg.Tracer, TraceRun: cfg.TraceRun,
+			Algorithm: "prop", Tracer: cfg.Tracer, TraceRun: cfg.TraceRun,
 		})
 	}
 	var body func(*hypergraph.Hypergraph, Config) (Result, error)

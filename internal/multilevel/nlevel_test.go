@@ -179,35 +179,3 @@ func TestNLevelArenaPoolReuse(t *testing.T) {
 		t.Errorf("%.0f allocs per warm hierarchy run, want pool reuse (≤ 64)", allocs)
 	}
 }
-
-// TestNLevelMoveWorkersInvariance: the checkpoint refiner inherits
-// MoveWorkers, so pooled buffers cross the parallel synchronous-round
-// loop; under `go test -race` this exercises them across workers. The
-// ParallelLoop contract is invariance across worker counts (the
-// synchronous-round protocol itself differs from the serial loop), so
-// 2- and 4-worker runs must match the 1-worker run bit for bit.
-func TestNLevelMoveWorkersInvariance(t *testing.T) {
-	h := gen.MustGenerate(gen.Params{Nodes: 600, Nets: 660, Pins: 2300, Seed: 41})
-	bal := partition.B4555()
-	run := func(workers int) Result {
-		res, err := Partition(h, Config{
-			Balance: bal, Mode: ModeNLevel, MoveWorkers: workers, Seed: 3,
-		})
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		return res
-	}
-	want := run(1)
-	for _, workers := range []int{2, 4} {
-		got := run(workers)
-		if got.CutCost != want.CutCost {
-			t.Errorf("workers %d cut %g, 1-worker %g", workers, got.CutCost, want.CutCost)
-		}
-		for u, s := range want.Sides {
-			if got.Sides[u] != s {
-				t.Fatalf("workers %d: side assignment diverges at node %d", workers, u)
-			}
-		}
-	}
-}

@@ -33,8 +33,8 @@ func TestEventEncoding(t *testing.T) {
 	tr.EmitRunStart(RunStart{ID: "r1", Run: 0})
 	tr.EmitPass(Pass{Algo: "prop", ID: "r1", Run: 0, Pass: 1, Cut: 55.5, Gmax: 2.25,
 		Moves: 10, Kept: 7, Locked: 10, DirtyNets: 3, SweptNodes: 40, RefineIters: 2,
-		Workers: 4, SweepBusy: 9 * time.Microsecond, SweepWall: 3 * time.Microsecond,
-		Dur: 1500 * time.Microsecond})
+		SweepWall: 3 * time.Microsecond,
+		Dur:       1500 * time.Microsecond})
 	tr.EmitMove(Move{Run: 0, Pass: 1, Node: 17, Gain: -1.5})
 	tr.EmitRunEnd(RunEnd{ID: "r1", Run: 0, Dur: time.Millisecond, Err: "boom \"quoted\""})
 	if tr.Err() != nil {
@@ -62,7 +62,7 @@ func TestEventEncoding(t *testing.T) {
 	if p["ev"] != "pass" || p["algo"] != "prop" || p["cut"] != 55.5 || p["gmax"] != 2.25 ||
 		p["pass"] != float64(1) || p["moves"] != float64(10) || p["kept"] != float64(7) ||
 		p["dirty_nets"] != float64(3) || p["swept"] != float64(40) ||
-		p["workers"] != float64(4) || p["dur_us"] != float64(1500) {
+		p["sweep_wall_us"] != float64(3) || p["dur_us"] != float64(1500) {
 		t.Errorf("pass = %v", p)
 	}
 	if lines[2]["ev"] != "move" || lines[2]["node"] != float64(17) || lines[2]["gain"] != -1.5 {
@@ -105,7 +105,7 @@ func TestPhaseEncoding(t *testing.T) {
 	tr := New(&sb, LevelRun) // phases must emit at every level
 	outer := tr.StartPhase(2, "multilevel")
 	inner := tr.StartPhaseLevel(2, "coarsen", 3)
-	inner.EndBusy(40 * time.Microsecond)
+	inner.End()
 	sibling := tr.StartPhase(2, "initial") // must reuse depth 1 after inner ended
 	sibling.End()
 	outer.End()
@@ -147,9 +147,6 @@ func TestPhaseEncoding(t *testing.T) {
 			}
 		}
 	}
-	if lines[2]["busy_us"] != float64(40) {
-		t.Errorf("coarsen busy_us = %v, want 40", lines[2]["busy_us"])
-	}
 }
 
 func TestPhaseHeapSampling(t *testing.T) {
@@ -173,7 +170,7 @@ func TestStartPhaseNilTracerZeroAllocs(t *testing.T) {
 	var tr *Tracer
 	allocs := testing.AllocsPerRun(1000, func() {
 		sp := tr.StartPhaseLevel(0, "prop", 4)
-		sp.EndBusy(time.Microsecond)
+		sp.End()
 	})
 	if allocs != 0 {
 		t.Errorf("nil-tracer phase span allocates %.1f per op, want 0", allocs)
@@ -192,13 +189,13 @@ func TestPhaseHookAndProgress(t *testing.T) {
 	tr.EmitPass(Pass{Algo: "prop", Run: 1, Pass: 0, Cut: 60})
 	tr.EmitPass(Pass{Algo: "prop", Run: 1, Pass: 1, Cut: 45})
 	tr.EmitPass(Pass{Algo: "prop", Run: 1, Pass: 2, Cut: 52}) // worse: best must hold
-	sp.EndBusy(5 * time.Microsecond)
+	sp.End()
 
 	if len(got) != 1 {
 		t.Fatalf("hook calls = %d, want 1", len(got))
 	}
 	p := got[0]
-	if p.Name != "polish" || p.Run != 1 || p.Depth != 0 || p.Level != 2 || p.Busy != 5*time.Microsecond {
+	if p.Name != "polish" || p.Run != 1 || p.Depth != 0 || p.Level != 2 {
 		t.Errorf("hook phase = %+v", p)
 	}
 	if p.Wall < 0 {

@@ -2,11 +2,10 @@
 // RunReport: the hierarchical per-phase wall-time tree built from
 // phase_start/phase span pairs, the pass convergence curve (cut versus
 // pass index — the observable form of the paper's 2–4-pass convergence
-// claim), move accept/lock rates, parallel-round conflict and utilization
-// rates, and the flow polisher's adoption rate. The report has a JSON
-// form (WriteJSON) for machines and an aligned-text form (WriteText) for
-// terminals; Diff compares two reports with per-phase thresholds for
-// regression triage (cmd/tracestat -diff).
+// claim), move accept/lock rates, and the flow polisher's adoption rate.
+// The report has a JSON form (WriteJSON) for machines and an aligned-text
+// form (WriteText) for terminals; Diff compares two reports with
+// per-phase thresholds for regression triage (cmd/tracestat -diff).
 //
 // Read is tolerant of truncated or mildly malformed streams — it counts
 // anomalies in Malformed instead of failing — because reports are often
@@ -34,7 +33,6 @@ type event struct {
 	Depth     int    `json:"depth"`
 	Level     int    `json:"level"`
 	WallUS    int64  `json:"wall_us"`
-	BusyUS    int64  `json:"busy_us"`
 	HeapBytes uint64 `json:"heap_bytes"`
 
 	// pass / move
@@ -43,11 +41,6 @@ type event struct {
 	Moves  int64   `json:"moves"`
 	Kept   int64   `json:"kept"`
 	Locked int64   `json:"locked"`
-
-	// round (BusyUS/WallUS shared with phase)
-	Proposed   int64 `json:"proposed"`
-	Conflicted int64 `json:"conflicted"`
-	Applied    int64 `json:"applied"`
 
 	// flow
 	Adopted   int     `json:"adopted"`
@@ -60,12 +53,11 @@ type event struct {
 
 // PhaseNode is one node of the per-phase wall-time tree, aggregated over
 // every span with the same name path (across runs and level ordinals):
-// Count spans summing WallUS wall time and BusyUS busy time.
+// Count spans summing WallUS wall time.
 type PhaseNode struct {
 	Name     string       `json:"name"`
 	Count    int          `json:"count"`
 	WallUS   int64        `json:"wall_us"`
-	BusyUS   int64        `json:"busy_us,omitempty"`
 	HeapMax  uint64       `json:"heap_max_bytes,omitempty"`
 	Children []*PhaseNode `json:"children,omitempty"`
 }
@@ -113,18 +105,6 @@ type MoveStats struct {
 	AcceptRatePct float64 `json:"accept_rate_pct"` // kept / moves
 }
 
-// RoundStats aggregates the parallel move loop's round events.
-type RoundStats struct {
-	Rounds          int     `json:"rounds"`
-	Proposed        int64   `json:"proposed"`
-	Conflicted      int64   `json:"conflicted"`
-	Applied         int64   `json:"applied"`
-	ConflictRatePct float64 `json:"conflict_rate_pct"` // conflicted / proposed
-	// UtilizationX is summed scan busy time over summed round wall time —
-	// the effective number of overlapped workers.
-	UtilizationX float64 `json:"utilization_x"`
-}
-
 // FlowStats aggregates the flow polisher's round events.
 type FlowStats struct {
 	Rounds          int     `json:"rounds"`
@@ -150,9 +130,8 @@ type RunReport struct {
 	Convergence  []PassPoint `json:"convergence,omitempty"`
 	FinalBestCut float64     `json:"final_best_cut,omitempty"`
 
-	Moves  MoveStats   `json:"moves"`
-	Rounds *RoundStats `json:"rounds,omitempty"`
-	Flow   *FlowStats  `json:"flow,omitempty"`
+	Moves MoveStats  `json:"moves"`
+	Flow  *FlowStats `json:"flow,omitempty"`
 
 	DeltaApplies int `json:"delta_applies,omitempty"`
 	// Malformed counts events that could not be folded in (unparseable
@@ -183,7 +162,6 @@ func Read(r io.Reader) (*RunReport, error) {
 	passes := make(map[int]*passAgg)
 	bestSoFar := 0.0
 	hasCut := false
-	var roundBusyUS, roundWallUS int64
 
 	var firstTS, lastTS int64
 	first := true
@@ -228,7 +206,6 @@ func Read(r io.Reader) (*RunReport, error) {
 			stacks[e.Run] = st[:len(st)-1]
 			n.Count++
 			n.WallUS += e.WallUS
-			n.BusyUS += e.BusyUS
 			if e.HeapBytes > n.HeapMax {
 				n.HeapMax = e.HeapBytes
 			}
@@ -250,16 +227,6 @@ func Read(r io.Reader) (*RunReport, error) {
 			if !hasCut || e.Cut < bestSoFar {
 				bestSoFar, hasCut = e.Cut, true
 			}
-		case "round":
-			if rep.Rounds == nil {
-				rep.Rounds = &RoundStats{}
-			}
-			rep.Rounds.Rounds++
-			rep.Rounds.Proposed += e.Proposed
-			rep.Rounds.Conflicted += e.Conflicted
-			rep.Rounds.Applied += e.Applied
-			roundBusyUS += e.BusyUS
-			roundWallUS += e.WallUS
 		case "flow":
 			if rep.Flow == nil {
 				rep.Flow = &FlowStats{}
@@ -298,14 +265,6 @@ func Read(r io.Reader) (*RunReport, error) {
 
 	if rep.Moves.Moves > 0 {
 		rep.Moves.AcceptRatePct = 100 * float64(rep.Moves.Kept) / float64(rep.Moves.Moves)
-	}
-	if rs := rep.Rounds; rs != nil {
-		if roundWallUS > 0 {
-			rs.UtilizationX = float64(roundBusyUS) / float64(roundWallUS)
-		}
-		if rs.Proposed > 0 {
-			rs.ConflictRatePct = 100 * float64(rs.Conflicted) / float64(rs.Proposed)
-		}
 	}
 	if f := rep.Flow; f != nil && f.Rounds > 0 {
 		f.AdoptionRatePct = 100 * float64(f.Adopted) / float64(f.Rounds)
@@ -351,8 +310,8 @@ func WriteJSON(w io.Writer, rep *RunReport) error {
 func ms(us int64) string { return fmt.Sprintf("%.1fms", float64(us)/1000) }
 
 // WriteText renders the aligned terminal report: header, phase tree,
-// flattened top-N phase table, convergence curve, and the move/round/flow
-// rate lines. topN ≤ 0 disables the flattened table.
+// flattened top-N phase table, convergence curve, and the move/flow rate
+// lines. topN ≤ 0 disables the flattened table.
 func WriteText(w io.Writer, rep *RunReport, topN int) error {
 	bw := bufio.NewWriter(w)
 	denom := rep.RunWallUS
@@ -391,9 +350,6 @@ func WriteText(w io.Writer, rep *RunReport, topN int) error {
 			}
 			fmt.Fprintf(bw, "%*s%-*s %5dx %12s %6.1f%%",
 				indent, "", nameW-indent, n.Name, n.Count, ms(n.WallUS), pct)
-			if n.BusyUS > 0 {
-				fmt.Fprintf(bw, "  busy %s", ms(n.BusyUS))
-			}
 			if n.HeapMax > 0 {
 				fmt.Fprintf(bw, "  heap %.1fMB", float64(n.HeapMax)/(1<<20))
 			}
@@ -440,10 +396,6 @@ func WriteText(w io.Writer, rep *RunReport, topN int) error {
 	if rep.Moves.Passes > 0 {
 		fmt.Fprintf(bw, "\nmoves: %d passes, %d proposed, %d kept (%.1f%% accept), %d locked\n",
 			rep.Moves.Passes, rep.Moves.Moves, rep.Moves.Kept, rep.Moves.AcceptRatePct, rep.Moves.Locked)
-	}
-	if rs := rep.Rounds; rs != nil {
-		fmt.Fprintf(bw, "rounds: %d rounds, %d proposed, %d conflicted (%.1f%%), %d applied, utilization %.2fx\n",
-			rs.Rounds, rs.Proposed, rs.Conflicted, rs.ConflictRatePct, rs.Applied, rs.UtilizationX)
 	}
 	if f := rep.Flow; f != nil {
 		fmt.Fprintf(bw, "flow: %d rounds, %d adopted (%.1f%%), cut improvement %g\n",

@@ -122,41 +122,6 @@ func (b *Bisection) CanMove(u int, bal Balance) bool {
 // MaxNodeWeight returns the balance tolerance (largest node weight).
 func (b *Bisection) MaxNodeWeight() int64 { return b.maxW }
 
-// MoveWeightWindow returns, per source side, the inclusive node-weight
-// range [lo[s], hi[s]] within which a single move off side s satisfies
-// CanMove at the *current* side weights. It hoists the bounds arithmetic
-// out of per-node feasibility tests: scan phases that evaluate many
-// candidates against frozen side weights (the parallel round loop) check
-// lo[s] <= w(u) <= hi[s] instead of calling CanMove per node. An empty
-// window has lo > hi.
-func (b *Bisection) MoveWeightWindow(bal Balance) (lo, hi [2]int64) {
-	total := b.sideWeight[0] + b.sideWeight[1]
-	blo, bhi := bal.Bounds(total)
-	blo -= b.maxW
-	bhi += b.maxW
-	for s := 0; s < 2; s++ {
-		sw, tw := b.sideWeight[s], b.sideWeight[1-s]
-		// sw-w in [blo, bhi] and tw+w in [blo, bhi]:
-		lo[s] = max64(sw-bhi, blo-tw)
-		hi[s] = min64(sw-blo, bhi-tw)
-	}
-	return lo, hi
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // CanMoveFrom reports whether moving even the lightest node off side s
 // could satisfy bal — a side-level pre-check that lets selection loops
 // skip scanning a side pinned at its balance bound (without it, every

@@ -51,7 +51,7 @@ func Chain(h *hypergraph.Hypergraph, initial []uint8, cfg core.Config) (Result, 
 	res, err := refine.Bipartition(h, completed, refine.Options{
 		Algorithm: "prop", Balance: cfg.Balance, PROP: &cfg,
 	})
-	sp.EndBusy(res.RefineBusy)
+	sp.End()
 	if err != nil {
 		return Result{}, err
 	}
@@ -69,8 +69,7 @@ func Chain(h *hypergraph.Hypergraph, initial []uint8, cfg core.Config) (Result, 
 // that already ran an engine don't pay a recount.
 func Polish(h *hypergraph.Hypergraph, sides []uint8, cut float64, cutNets int, cfg core.Config) (Result, error) {
 	return PolishWith(h, sides, cut, cutNets, cfg,
-		refine.Options{Algorithm: "fm-tree", Balance: cfg.Balance,
-			MoveWorkers: cfg.MoveWorkers})
+		refine.Options{Algorithm: "fm-tree", Balance: cfg.Balance})
 }
 
 // PolishWith is Polish with an explicit partner engine: each round runs

@@ -136,16 +136,6 @@ type Options struct {
 	// sequential best-of tie-break).
 	Parallel int
 
-	// MoveWorkers, when positive, runs each node-engine pass (AlgoPROP,
-	// AlgoFM, AlgoFMTree, AlgoLA, and the PROP stages of AlgoFlow and
-	// AlgoMLPROP) on the synchronous-round parallel move loop with that
-	// many proposal-scan workers, parallelizing a single run's move loop
-	// across cores. Results are bit-identical for every positive value;
-	// 0 (the default) keeps the serial loop, whose trajectory the round
-	// protocol legitimately differs from. The pair-swap engines (AlgoKL,
-	// AlgoSK) have no node-move loop and ignore it.
-	MoveWorkers int
-
 	// OnRun, when non-nil, observes every completed multi-start run.
 	// Calls are serialized but arrive in completion order, which under
 	// Parallel > 1 need not be run order.
@@ -181,10 +171,6 @@ type RunUpdate struct {
 	// Passes counts the run's improvement passes (0 for algorithms that
 	// do not report passes).
 	Passes int
-	// RefineUtilization is the PROP refinement-sweep worker utilization
-	// of the run — summed worker busy time over (wall clock × workers),
-	// in (0, 1]. Zero for non-PROP algorithms or unmeasured runs.
-	RefineUtilization float64
 }
 
 // PROPParams exposes PROP's tunables (see the paper §3.2–3.4; zero values
@@ -195,12 +181,6 @@ type PROPParams struct {
 	Refinements       int
 	TopK              int
 	DeterministicInit bool
-	// RefineWorkers shards the refinement gain sweeps inside each PROP run
-	// across that many workers (< 0 selects GOMAXPROCS, 0 keeps the serial
-	// default). The sweep is sharded over fixed node ranges and every gain
-	// read is pure, so the result is bit-identical for every value; leave
-	// it 0 when multi-start Runs already saturate the cores.
-	RefineWorkers int
 }
 
 // MLParams exposes the knobs of AlgoMLPROP's multilevel hierarchy (zero
@@ -311,7 +291,7 @@ func PartitionCtx(ctx context.Context, n *Netlist, o Options) (Result, error) {
 		// engine, so emit its run span here — the phase tree then has a
 		// run-wall denominator like every portfolio trace.
 		cfg := multilevel.Config{
-			Balance: bal, Seed: o.Seed, MoveWorkers: o.MoveWorkers,
+			Balance: bal, Seed: o.Seed,
 			Tracer: o.Tracer, TraceRun: 0,
 		}
 		if p := o.ML; p != nil {
@@ -350,20 +330,11 @@ type runResult struct {
 	cost   float64
 	nets   int
 	passes int
-	// refineBusy/refineWall/refineWorkers time PROP's refinement sweeps
-	// (zero for other algorithms); see core.Result.
-	refineBusy    time.Duration
-	refineWall    time.Duration
-	refineWorkers int
 }
 
 // update converts a run outcome to the public OnRun form.
 func (r runResult) update(run int) RunUpdate {
-	u := RunUpdate{Run: run, CutCost: r.cost, CutNets: r.nets, Passes: r.passes}
-	if r.refineWall > 0 && r.refineWorkers > 0 {
-		u.RefineUtilization = float64(r.refineBusy) / (float64(r.refineWall) * float64(r.refineWorkers))
-	}
-	return u
+	return RunUpdate{Run: run, CutCost: r.cost, CutNets: r.nets, Passes: r.passes}
 }
 
 // multiStart executes the multi-start portfolio on the engine's worker
@@ -440,21 +411,17 @@ func oneRun(h *hypergraph.Hypergraph, bal partition.Balance, o Options, initial 
 		if err != nil {
 			return runResult{}, err
 		}
-		return runResult{
-			sides: p.Sides, cost: p.CutCost, nets: p.CutNets, passes: base.Passes,
-			refineBusy: base.RefineBusy, refineWall: base.RefineWall, refineWorkers: base.RefineWorkers,
-		}, nil
+		return runResult{sides: p.Sides, cost: p.CutCost, nets: p.CutNets, passes: base.Passes}, nil
 	}
 	// Every other iterative algorithm is a locked-move engine dispatched
 	// through the shared move-engine layer, so each inherits balance-aware
 	// selection and per-pass tracing uniformly.
 	ro := refine.Options{
-		Algorithm:   string(o.Algorithm),
-		Balance:     bal,
-		LADepth:     o.LADepth,
-		MoveWorkers: o.MoveWorkers,
-		Tracer:      o.Tracer,
-		TraceRun:    run,
+		Algorithm: string(o.Algorithm),
+		Balance:   bal,
+		LADepth:   o.LADepth,
+		Tracer:    o.Tracer,
+		TraceRun:  run,
 	}
 	if o.Algorithm == AlgoPROP {
 		cfg := propConfig(bal, o, run)
@@ -464,10 +431,7 @@ func oneRun(h *hypergraph.Hypergraph, bal partition.Balance, o Options, initial 
 	if err != nil {
 		return runResult{}, err
 	}
-	return runResult{
-		sides: r.Sides, cost: r.CutCost, nets: r.CutNets, passes: r.Passes,
-		refineBusy: r.RefineBusy, refineWall: r.RefineWall, refineWorkers: r.RefineWorkers,
-	}, nil
+	return runResult{sides: r.Sides, cost: r.CutCost, nets: r.CutNets, passes: r.Passes}, nil
 }
 
 // flowParams converts the public FlowParams to internal/flow's Params.
@@ -508,16 +472,6 @@ func propConfig(bal partition.Balance, o Options, run int) core.Config {
 		if p.DeterministicInit {
 			cfg.Init = core.InitDeterministic
 		}
-		if p.RefineWorkers != 0 {
-			cfg.Workers = p.RefineWorkers
-		}
-	}
-	cfg.MoveWorkers = o.MoveWorkers
-	if o.MoveWorkers > 0 && (o.PROP == nil || o.PROP.RefineWorkers == 0) {
-		// The round loop's gain sweeps run between rounds; give them the
-		// same parallelism as the proposal scans unless the caller pinned
-		// the sweep worker count explicitly.
-		cfg.Workers = o.MoveWorkers
 	}
 	cfg.Tracer = o.Tracer
 	cfg.TraceRun = run

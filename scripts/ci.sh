@@ -41,6 +41,12 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== perfbench module =="
+# perfbench/ is its own Go module (the benchmark of record), so the root
+# ./... patterns skip it; it imports internal packages, so vet and test it
+# here to catch API drift.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== benchmark smoke =="
 go test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -84,24 +90,6 @@ go run ./cmd/propart -suite balu -runs 2 -par 1 -q \
 	-out "$tracedir/balu_warm.sides" >"$tracedir/warm_cut.txt"
 if ! [ -s "$tracedir/warm_cut.txt" ] || ! [ -s "$tracedir/balu_warm.sides" ]; then
 	echo "warm-start smoke: no output produced" >&2
-	exit 1
-fi
-
-echo "== parallel-loop smoke =="
-# Round-protocol equality check: the synchronous-round parallel loop and
-# the serial loop follow different trajectories from a random start, but
-# from a converged start (the best of a serial multi-start) both must
-# confirm the same local optimum — prefix-max rollback means neither pass
-# loop can end worse than it started, so any cut difference here is a
-# correctness bug in the round protocol, not a heuristic gap.
-go run ./cmd/propart -suite balu -runs 20 -seed 7 -par 1 -q \
-	-out "$tracedir/balu_opt.sides" >/dev/null
-go run ./cmd/propart -suite balu -runs 1 -seed 7 -par 1 -q \
-	-warm "$tracedir/balu_opt.sides" >"$tracedir/serial_warm.txt"
-go run ./cmd/propart -suite balu -runs 1 -seed 7 -par 1 -move-workers 4 -q \
-	-warm "$tracedir/balu_opt.sides" >"$tracedir/par_warm.txt"
-if ! cmp -s "$tracedir/serial_warm.txt" "$tracedir/par_warm.txt"; then
-	echo "parallel-loop smoke: parallel-loop cut $(head -1 "$tracedir/par_warm.txt") differs from serial-loop cut $(head -1 "$tracedir/serial_warm.txt")" >&2
 	exit 1
 fi
 

@@ -53,8 +53,7 @@ func TestRepartitionWarmStart(t *testing.T) {
 
 // TestWarmStartParallelDeterminism pins the bit-determinism contract on
 // the incremental path: a warm-started PROP portfolio returns the same
-// cut and the same exact side assignment at Parallel/RefineWorkers 1 and
-// 4.
+// cut and the same exact side assignment at Parallel 1 and 4.
 func TestWarmStartParallelDeterminism(t *testing.T) {
 	n, err := prop.Benchmark("struct")
 	if err != nil {
@@ -65,21 +64,20 @@ func TestWarmStartParallelDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := ecoDelta(n)
-	run := func(par, refineWorkers int) (float64, uint64) {
+	run := func(par int) (float64, uint64) {
 		_, res, err := prop.Repartition(n, base.Sides, d, prop.Options{
 			Algorithm: prop.AlgoPROP,
 			Runs:      3,
 			Seed:      11,
 			Parallel:  par,
-			PROP:      &prop.PROPParams{RefineWorkers: refineWorkers},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.CutCost, sideHash(res.Sides)
 	}
-	cut1, hash1 := run(1, 1)
-	cut4, hash4 := run(4, 4)
+	cut1, hash1 := run(1)
+	cut4, hash4 := run(4)
 	if cut1 != cut4 || hash1 != hash4 {
 		t.Errorf("warm start diverges across parallelism: (%g, %#x) vs (%g, %#x)",
 			cut1, hash1, cut4, hash4)
@@ -115,6 +113,34 @@ func TestOptionsFingerprint(t *testing.T) {
 	e.Initial = []uint8{0, 1, 0}
 	if a.Fingerprint() == e.Fingerprint() {
 		t.Error("warm-start initial not reflected in fingerprint")
+	}
+}
+
+// TestOptionsFingerprintPinned pins result-cache keys as literals, so a
+// change to Options.Fingerprint that silently re-keys existing cache
+// entries fails here. The values cover the default options, the
+// propserve default PROP request, explicit PROP parameters, the flow
+// polisher, the n-level hierarchy and a non-default balance.
+func TestOptionsFingerprintPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		o    prop.Options
+		want uint64
+	}{
+		{"zero", prop.Options{}, 0xa09d945a1cd8d6e5},
+		{"prop", prop.Options{Algorithm: prop.AlgoPROP, Runs: 20, Seed: 1}, 0x4eea4f4cf19ed26d},
+		{"prop-params", prop.Options{Algorithm: prop.AlgoPROP, Runs: 8, Seed: 7,
+			PROP: &prop.PROPParams{PInit: 0.9, PMin: 0.3, PMax: 0.9, GLo: -2, GUp: 2,
+				Refinements: 3, TopK: 7, DeterministicInit: true}}, 0xd493431e4846496e},
+		{"flow", prop.Options{Algorithm: prop.AlgoFlow, Runs: 4, Seed: 3,
+			Flow: &prop.FlowParams{Radius: 3, MaxFrac: 0.25, Rounds: 4}}, 0x2e4d8cbbadc4ff08},
+		{"nlevel", prop.Options{Algorithm: prop.AlgoMLPROP, Seed: 7,
+			ML: &prop.MLParams{Mode: "nlevel"}}, 0xac24f15a477d8afd},
+		{"balance", prop.Options{Algorithm: prop.AlgoFM, R1: 0.45, R2: 0.55, Runs: 10, Seed: 2}, 0x9dfa6a6f67f472a9},
+	} {
+		if got := c.o.Fingerprint(); got != c.want {
+			t.Errorf("%s: fingerprint %#016x, want %#016x", c.name, got, c.want)
+		}
 	}
 }
 
