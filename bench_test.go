@@ -308,3 +308,20 @@ func BenchmarkPassEngine(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNLevelScale times one n-level ml-prop call on the 50/50 scale
+// golden's circuit (TestGoldenCutsNLevelScale5050), per partition seed:
+// the go test inner loop for contraction and localized refinement.
+func BenchmarkNLevelScale(b *testing.B) {
+	n := scaleNetlist(b, scaleGoldenNodes)
+	for _, seed := range []int64{3, 7} {
+		o := prop.Options{Algorithm: prop.AlgoMLPROP, Seed: seed, ML: &prop.MLParams{Mode: "nlevel"}}
+		b.Run(fmt.Sprintf("seed=%d", seed), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := prop.Partition(n, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -37,11 +37,26 @@ type LocalGraph interface {
 // maximum node weight as constant slack, the same window the V-cycle
 // grants its per-level refiners; depth-0 callers tighten the final result
 // with a standard repair + full refine.
+//
+// Selection skips a side outright when no node on it could move without
+// leaving the window — the check Bisection.CanMoveFrom gives the flat
+// engines. Under the exact 50/50 criterion a side sits at its bound after
+// most moves, and without the check each such move walks that side's
+// whole heap finding nothing. The check is exact, so it changes no
+// result: it is one-sided, because moving a node off side 0 can only
+// break the lower bound on side 0's weight and moving one off side 1 only
+// the upper bound (the other bound gets easier as the node gets heavier,
+// so failing it with the lightest weight proves nothing), and it uses the
+// base graph's minimum node weight, which bounds every cluster of every
+// level from below. The minimum over current weights would not: the
+// cluster holding the lightest base node outweighs it until
+// uncontraction splits it off.
 type Localized struct {
 	G     LocalGraph
 	Bal   partition.Balance
 	Slack int64
 
+	minW     int64   // lower bound on any node's weight: the side pre-check
 	side     []uint8 // caller-owned side assignment, len NumNodes
 	pinCount [2][]int32
 	sideW    [2]int64
@@ -70,12 +85,14 @@ type Localized struct {
 // NewLocalized builds the refiner state for graph g under the given side
 // assignment (taken by reference and maintained in place): per-net side
 // pin counts over active pins, side weights over alive nodes, and the
-// exact cut. alive reports node liveness (nil means all nodes are alive);
-// dead nodes carry no weight and sit in no active pin, so they are simply
-// excluded from the side-weight sum. Runs in O(pins + nodes) — once per
-// hierarchy, not per level.
-func NewLocalized(g LocalGraph, bal partition.Balance, slack int64, side []uint8, alive func(u int) bool, pool *hypergraph.Pool) *Localized {
-	l := &Localized{G: g, Bal: bal, Slack: slack, side: side, pool: pool}
+// exact cut. minW must not exceed the weight of any node the refiner will
+// ever see — on a Contracted view, its MinBaseNodeWeight. alive reports
+// node liveness (nil means all nodes are alive); dead nodes carry no
+// weight and sit in no active pin, so they are simply excluded from the
+// side-weight sum. Runs in O(pins + nodes) — once per hierarchy, not per
+// level.
+func NewLocalized(g LocalGraph, bal partition.Balance, slack, minW int64, side []uint8, alive func(u int) bool, pool *hypergraph.Pool) *Localized {
+	l := &Localized{G: g, Bal: bal, Slack: slack, minW: minW, side: side, pool: pool}
 	m := g.NumNets()
 	l.pinCount[0] = pool.I32(m)
 	l.pinCount[1] = pool.I32(m)
@@ -291,11 +308,29 @@ func (l *Localized) firstFeasible(h *ds.SparseGainHeap) (int, bool) {
 	return best, found
 }
 
+// canMoveFrom reports whether a node of weight minW could leave side s
+// within the slack-widened window; when it cannot, no node on s can (see
+// the Localized doc for why each side tests one bound).
+func (l *Localized) canMoveFrom(s uint8) bool {
+	lo, hi := l.Bal.Bounds(l.total)
+	if s == 0 {
+		return l.sideW[0]-l.minW >= lo-l.Slack
+	}
+	return l.sideW[0]+l.minW <= hi+l.Slack
+}
+
 // selectBest mirrors the engine's two-container selection: each side's
-// best feasible candidate, ties to side 0.
+// best feasible candidate, ties to side 0. A side that canMoveFrom rules
+// out is not scanned.
 func (l *Localized) selectBest() (int, bool) {
-	u0, ok0 := l.firstFeasible(l.heap[0])
-	u1, ok1 := l.firstFeasible(l.heap[1])
+	var u0, u1 int
+	var ok0, ok1 bool
+	if l.canMoveFrom(0) {
+		u0, ok0 = l.firstFeasible(l.heap[0])
+	}
+	if l.canMoveFrom(1) {
+		u1, ok1 = l.firstFeasible(l.heap[1])
+	}
 	switch {
 	case ok0 && ok1:
 		if l.heap[0].Gain(u0) >= l.heap[1].Gain(u1) {

@@ -139,7 +139,7 @@ func nlevel(h *hypergraph.Hypergraph, cfg Config) (Result, error) {
 		err = func() error {
 			sp := cfg.Tracer.StartPhase(cfg.TraceRun, "uncoarsen")
 			defer sp.End()
-			l := moves.NewLocalized(c, cfg.Balance, c.MaxBaseNodeWeight(), sides, c.Alive, pool)
+			l := moves.NewLocalized(c, cfg.Balance, c.MaxBaseNodeWeight(), c.MinBaseNodeWeight(), sides, c.Alive, pool)
 			defer func() { l.Release() }()
 			l.MaxActive = 8 * cfg.UncontractBatch
 			caseA := make([]int32, 0, 64)
@@ -184,7 +184,7 @@ func nlevel(h *hypergraph.Hypergraph, cfg Config) (Result, error) {
 					// The checkpoint moved nodes behind the localized
 					// refiner's back; rebuild its incremental state.
 					l.Release()
-					l = moves.NewLocalized(c, cfg.Balance, c.MaxBaseNodeWeight(), sides, c.Alive, pool)
+					l = moves.NewLocalized(c, cfg.Balance, c.MaxBaseNodeWeight(), c.MinBaseNodeWeight(), sides, c.Alive, pool)
 					l.MaxActive = 8 * cfg.UncontractBatch
 				}
 			}

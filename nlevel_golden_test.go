@@ -1,9 +1,11 @@
 package prop_test
 
 import (
+	"bytes"
 	"testing"
 
 	"prop"
+	"prop/internal/gen"
 )
 
 // TestGoldenCutsNLevel pins the n-level multilevel path (ML Mode
@@ -38,6 +40,66 @@ func TestGoldenCutsNLevel(t *testing.T) {
 			}
 		})
 	}
+}
+
+// scaleGoldenNodes sizes the 50/50 scale golden and BenchmarkNLevelScale:
+// large enough that localized refinement spends most moves with one side
+// at its exact-balance bound, small enough to run in a few seconds.
+const scaleGoldenNodes = 10000
+
+// TestGoldenCutsNLevelScale5050 pins n-level ml-prop on a generated scale
+// circuit at the default exact 50/50 balance, where localized refinement
+// keeps hitting a side it cannot move off. That is the path the side
+// pre-check in moves.Localized prunes; the pre-check must not change a
+// single move.
+func TestGoldenCutsNLevelScale5050(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	n := scaleNetlist(t, scaleGoldenNodes)
+	for _, tc := range []struct {
+		seed int64
+		want golden
+	}{
+		{3, golden{408, 0, 0x79e05107976d62a4}},
+		{7, golden{411, 0, 0xbd250fbe67394c7a}},
+	} {
+		res, err := prop.Partition(n, prop.Options{Algorithm: prop.AlgoMLPROP, Seed: tc.seed, ML: &prop.MLParams{Mode: "nlevel"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (golden{res.CutCost, res.BestRun, sideHash(res.Sides)}); got != tc.want {
+			t.Errorf("seed %d: got {cost:%g best:%d hash:%#x}, want {cost:%g best:%d hash:%#x}",
+				tc.seed, got.cost, got.bestRun, got.hash, tc.want.cost, tc.want.bestRun, tc.want.hash)
+		}
+		if cost, _, err := prop.Verify(n, res.Sides, prop.Options{}); err != nil || cost != res.CutCost {
+			t.Errorf("seed %d: independent recount %g (err %v) vs reported %g", tc.seed, cost, err, res.CutCost)
+		}
+	}
+}
+
+// scaleNetlist returns the gen.GenerateScale circuit of the given size
+// (generator seed 7, the BENCH_scale row's) as a Netlist, read back from
+// its streamed .hgr form.
+func scaleNetlist(tb testing.TB, nodes int) *prop.Netlist {
+	tb.Helper()
+	p := gen.ScaleParams{Nodes: nodes, Seed: 7}
+	var buf bytes.Buffer
+	if err := gen.WriteScaleHGR(&buf, p); err != nil {
+		tb.Fatal(err)
+	}
+	n, err := prop.ReadHGR(&buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h, err := gen.GenerateScale(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if h.Fingerprint() != n.Fingerprint() {
+		tb.Fatal("streamed scale circuit differs from GenerateScale's")
+	}
+	return n
 }
 
 func nlevelCircuit(t *testing.T, name string) *prop.Netlist {
